@@ -221,6 +221,31 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_json_is_an_error_not_a_crash() {
+        // A corrupt or hostile model file must fail to load, not overflow
+        // the parser's stack and abort the process.
+        let dir = std::env::temp_dir().join("hqnn-core-test");
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let depth = serde_json::MAX_DEPTH;
+        let one_too_deep = format!(
+            "{{\"spec\": {}{}, \"weights\": []}}",
+            "[".repeat(depth),
+            "]".repeat(depth)
+        );
+        for (name, json) in [
+            ("deep.json", one_too_deep),
+            ("brackets.json", "[".repeat(100_000)),
+        ] {
+            assert!(serde_json::from_str::<SavedModel>(&json).is_err(), "{name}");
+            let path = dir.join(name);
+            std::fs::write(&path, &json).expect("write");
+            let err = SavedModel::load(&path).expect_err(name);
+            assert!(err.to_string().contains("nesting deeper"), "{name}: {err}");
+            let _ = std::fs::remove_file(path);
+        }
+    }
+
+    #[test]
     fn restore_rejects_corrupted_weights() {
         let spec: ModelSpec = ClassicalSpec::new(4, vec![3], 2).into();
         let mut model = spec.build(&mut SeededRng::new(2));

@@ -8,8 +8,8 @@ pub fn alloc_counting_enabled() -> bool {
     std::env::var("HQNN_ALLOC").is_ok()
 }
 
-pub fn configured_batch_layout() -> Option<String> {
-    std::env::var("HQNN_BATCH").ok()
+pub fn configured_health_action() -> Option<String> {
+    std::env::var("HQNN_HEALTH").ok()
 }
 
 pub fn experimental_flag() -> bool {

@@ -223,3 +223,24 @@ fn emitted_reports_match_the_snapshot_field_set() {
         assert!(json.contains(key), "missing {key} in:\n{json}");
     }
 }
+
+#[test]
+fn committed_baseline_loads_and_matches_the_suite() {
+    // `bench/baseline.json` predates the manifest losing its `batch` field
+    // and still stamps `"batch": "gate"`; the unknown key must be ignored on
+    // load, or every `--check` run would fail before comparing anything.
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../bench/baseline.json");
+    let text = std::fs::read_to_string(path).expect("read committed baseline");
+    assert!(text.contains("\"batch\": \"gate\""));
+    let baseline = BenchReport::load(path).expect("committed baseline loads");
+    assert_eq!(baseline.schema_version, SCHEMA_VERSION);
+
+    // One baseline entry per suite benchmark, in suite order: a `--check`
+    // run reports neither `Missing` nor `New`.
+    let suite: Vec<&str> = hqnn_perfbench::default_suite()
+        .iter()
+        .map(|b| b.id)
+        .collect();
+    let stored: Vec<&str> = baseline.results.iter().map(|r| r.id.as_str()).collect();
+    assert_eq!(stored, suite);
+}

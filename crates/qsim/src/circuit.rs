@@ -441,32 +441,6 @@ impl Circuit {
             .collect()
     }
 
-    /// Runs the circuit gate-by-gate, taking each op's matrix from `tables`
-    /// when present (see [`Circuit::precompute_tables`]) and resolving the
-    /// rest against the bindings. Bitwise identical to
-    /// [`Circuit::run_unfused`] for a table built from the same `params`.
-    pub(crate) fn run_with_tables(
-        &self,
-        tables: &[Option<Matrix2>],
-        inputs: &[f64],
-        params: &[f64],
-    ) -> StateVector {
-        assert_eq!(tables.len(), self.ops.len(), "table/ops length mismatch");
-        self.check_bindings(inputs, params);
-        hqnn_telemetry::counter("qsim.circuit_runs", 1);
-        hqnn_telemetry::counter("qsim.gate_applies", self.ops.len() as u64);
-        hqnn_telemetry::gauge_max("qsim.statevector_len", (1u64 << self.n_qubits) as f64);
-        let mut state = StateVector::new(self.n_qubits);
-        for (op, table) in self.ops.iter().zip(tables) {
-            match (table, op.wires) {
-                (Some(m), Wires::One(w)) => state.apply_single(m, w),
-                (Some(m), Wires::Two(a, b)) => state.apply_controlled(m, a, b),
-                (None, _) => Self::apply_op(op, &mut state, inputs, params),
-            }
-        }
-        state
-    }
-
     /// Counts ops by how the FLOPs model classifies them:
     /// `(encoding_rotations, variational_rotations, fixed_single, two_qubit)`.
     pub fn op_census(&self) -> OpCensus {
